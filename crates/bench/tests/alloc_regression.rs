@@ -9,40 +9,48 @@
 //! reintroduces a per-verb `Vec` shows up here as an exact count, not a
 //! profile hunch.
 //!
+//! A second window runs the same lookups with the happens-before race
+//! detector installed: observer dispatch and the detector's clean-read
+//! path must allocate nothing either (DESIGN.md §18).
+//!
 //! This lives in its own integration-test binary because a global
-//! allocator is process-wide.
+//! allocator is process-wide. Counting is per thread, so the tests of
+//! this binary may run in parallel without counting each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 use namdex_core::{FgConfig, FineGrained};
+use racecheck::Racecheck;
 use rdma_sim::{ClusterSpec, Endpoint};
 use simnet::Sim;
 
 struct CountingAlloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -54,8 +62,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn steady_state_fg_lookups_allocate_nothing() {
+/// Build a 20k-key fine-grained index, optionally with the race
+/// detector installed, warm it up, and return the heap allocations of a
+/// window of 500 point lookups.
+fn steady_state_lookup_allocations(racecheck: bool) -> u64 {
     let sim = Sim::new();
     let nam = nam::NamCluster::new(&sim, ClusterSpec::with_memory_servers(4));
     nam.rdma.set_active_clients(1);
@@ -71,7 +81,11 @@ fn steady_state_fg_lookups_allocate_nothing() {
         },
         data.iter(),
     );
+    let race =
+        racecheck.then(|| Racecheck::install(&nam.rdma, blink::PageLayout::DEFAULT_PAGE_SIZE));
     let cluster = nam.rdma.clone();
+    let allocs = std::rc::Rc::new(Cell::new(u64::MAX));
+    let measured = allocs.clone();
     sim.spawn(async move {
         let ep = Endpoint::new(&cluster);
         let mut key = 1u64;
@@ -82,21 +96,53 @@ fn steady_state_fg_lookups_allocate_nothing() {
             key % domain
         };
         // Warmup: fill the arena free lists and grow every executor
-        // container (wheel slots, ready queue) to steady capacity.
+        // container (wheel slots, ready queue) to steady capacity. The
+        // full scan also shows the detector every leaf once, so its
+        // page registry holds every page the window can touch.
+        fg.range(&ep, 0, domain).await.expect("warmup scan");
+        // One insert gives the client a non-empty vector clock, so a
+        // detector that copied the reader's clock on every read would
+        // show up as allocations.
+        fg.insert(&ep, 1, 1).await.expect("warmup insert");
         for _ in 0..1_000 {
             fg.lookup(&ep, next()).await.expect("warmup lookup");
         }
-        ALLOCS.store(0, Ordering::Relaxed);
-        COUNTING.store(true, Ordering::Relaxed);
-        for _ in 0..500 {
-            fg.lookup(&ep, next()).await.expect("measured lookup");
+        let mut window = Vec::with_capacity(500);
+        window.extend((0..500).map(|_| next()));
+        ALLOCS.with(|n| n.set(0));
+        COUNTING.with(|c| c.set(true));
+        for &k in &window {
+            fg.lookup(&ep, k).await.expect("measured lookup");
         }
-        COUNTING.store(false, Ordering::Relaxed);
+        COUNTING.with(|c| c.set(false));
+        measured.set(ALLOCS.with(Cell::get));
     });
     sim.run();
+    if let Some(race) = race {
+        race.assert_clean();
+        assert!(
+            race.counts().reads_checked > 500,
+            "the detector saw the window"
+        );
+    }
+    allocs.get()
+}
+
+#[test]
+fn steady_state_fg_lookups_allocate_nothing() {
     assert_eq!(
-        ALLOCS.load(Ordering::Relaxed),
+        steady_state_lookup_allocations(false),
         0,
         "steady-state fine-grained lookups must perform zero heap allocations"
+    );
+}
+
+#[test]
+fn steady_state_lookups_under_racecheck_allocate_nothing() {
+    assert_eq!(
+        steady_state_lookup_allocations(true),
+        0,
+        "with the race detector installed, steady-state lookups (observer \
+         dispatch + clean-read checks) must perform zero heap allocations"
     );
 }

@@ -37,6 +37,21 @@
 //! from page-sized READ/WRITE/ALLOC events and atomics attach to the
 //! containing page (offset-keyed fallback for a bare word).
 //!
+//! ## Cost per event
+//!
+//! Clocks are dense vectors indexed by client id (endpoint ids are
+//! allocated densely from 0) plus a short server segment, joined in
+//! place. A page's last write is one `(tid, epoch)` pair, so a read
+//! compares one clock component (FastTrack's epoch form). Page state
+//! lives in a slot vector behind an exact `(server, start)` hash index;
+//! the ordered index behind it is walked only when an access does not
+//! start at a registered page (first touch of a page, interior word),
+//! on free and on recovery. Pending windows sit in a per-client table,
+//! and the reader's clock is copied only when a window opens (the
+//! report needs it). A clean read of a known page therefore costs one
+//! hash probe, one 8-byte lock-word copy and one clock component
+//! compare, and allocates nothing.
+//!
 //! ## Read classification
 //!
 //! A page READ opens a *pending* window when it is **racy** (the page's
@@ -70,7 +85,7 @@ use std::rc::Rc;
 
 use blink::layout::lock_word;
 use rdma_sim::observer::{FenceKind, OpKind, RpcEvent, VerbEvent, VerbKind, VerbObserver};
-use rdma_sim::{AttemptKind, Cluster, RemotePtr};
+use rdma_sim::{AttemptKind, Cluster, WeakCluster};
 use simnet::SimTime;
 
 /// Clock-space id of memory server `s` is `SERVER_BASE + s`; ids below
@@ -84,14 +99,33 @@ const MIN_PAGE_READ: usize = 64;
 /// Cap on retained violations (the counter keeps counting past it).
 const MAX_VIOLATIONS: usize = 1024;
 
-/// A vector clock over client/server thread ids.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VClock(BTreeMap<u64, u64>);
+/// A vector clock over client/server thread ids: a dense client segment
+/// indexed by endpoint id and a dense server segment indexed by
+/// `tid - SERVER_BASE`. Missing components are 0, so two clocks that
+/// differ only in trailing zeros are equal.
+#[derive(Clone, Debug, Default)]
+pub struct VClock {
+    clients: Vec<u64>,
+    servers: Vec<u64>,
+}
+
+impl PartialEq for VClock {
+    fn eq(&self, other: &Self) -> bool {
+        fn same(a: &[u64], b: &[u64]) -> bool {
+            let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+            long[..short.len()] == *short && long[short.len()..].iter().all(|&v| v == 0)
+        }
+        same(&self.clients, &other.clients) && same(&self.servers, &other.servers)
+    }
+}
+
+impl Eq for VClock {}
 
 impl VClock {
     /// This clock's component for `tid` (0 if never seen).
     pub fn get(&self, tid: u64) -> u64 {
-        self.0.get(&tid).copied().unwrap_or(0)
+        let (seg, i) = self.segment(tid);
+        seg.get(i).copied().unwrap_or(0)
     }
 
     /// Whether the event `epoch @ tid` happened-before (or at) this clock.
@@ -99,35 +133,59 @@ impl VClock {
         self.get(tid) >= epoch
     }
 
+    fn segment(&self, tid: u64) -> (&[u64], usize) {
+        if tid >= SERVER_BASE {
+            (&self.servers, (tid - SERVER_BASE) as usize)
+        } else {
+            (&self.clients, tid as usize)
+        }
+    }
+
+    /// Mutable component for `tid`, growing its segment as needed.
+    fn slot(&mut self, tid: u64) -> &mut u64 {
+        let (seg, i) = if tid >= SERVER_BASE {
+            (&mut self.servers, (tid - SERVER_BASE) as usize)
+        } else {
+            (&mut self.clients, tid as usize)
+        };
+        if seg.len() <= i {
+            seg.resize(i + 1, 0);
+        }
+        &mut seg[i]
+    }
+
     fn bump(&mut self, tid: u64) -> u64 {
-        let e = self.0.entry(tid).or_insert(0);
+        let e = self.slot(tid);
         *e += 1;
         *e
     }
 
     fn join(&mut self, other: &VClock) {
-        for (&tid, &v) in &other.0 {
-            let e = self.0.entry(tid).or_insert(0);
-            if *e < v {
-                *e = v;
+        fn max_into(dst: &mut Vec<u64>, src: &[u64]) {
+            if dst.len() < src.len() {
+                dst.resize(src.len(), 0);
+            }
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = (*d).max(v);
             }
         }
+        max_into(&mut self.clients, &other.clients);
+        max_into(&mut self.servers, &other.servers);
     }
 
+    /// Nonzero components in thread-id order, clients before servers:
+    /// `{c0:2, c5:1, srv1:3}`.
     fn render(&self) -> String {
-        let mut s = String::from("{");
-        for (i, (tid, v)) in self.0.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            if *tid >= SERVER_BASE {
-                s.push_str(&format!("srv{}:{v}", tid - SERVER_BASE));
-            } else {
-                s.push_str(&format!("c{tid}:{v}"));
-            }
-        }
-        s.push('}');
-        s
+        let nonzero = |seg: &'static str, v: &[u64]| {
+            v.iter()
+                .enumerate()
+                .filter(|&(_, &e)| e != 0)
+                .map(move |(i, e)| format!("{seg}{i}:{e}"))
+                .collect::<Vec<_>>()
+        };
+        let mut parts = nonzero("c", &self.clients);
+        parts.extend(nonzero("srv", &self.servers));
+        format!("{{{}}}", parts.join(", "))
     }
 }
 
@@ -140,7 +198,7 @@ fn tid_name(tid: u64) -> String {
 }
 
 /// The last write recorded against a page: one end of a potential race.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct WriteSite {
     tid: u64,
     epoch: u64,
@@ -148,9 +206,13 @@ struct WriteSite {
     what: &'static str,
 }
 
+/// Registry key of a page: `(server, start offset)`.
+type PageKey = (usize, u64);
+
 /// Per-page clock state (FastTrack page metadata).
 #[derive(Default)]
 struct PageState {
+    key: PageKey,
     len: usize,
     /// Join of every unlock-FAA holder clock: what an acquire CAS learns.
     release: VClock,
@@ -167,11 +229,250 @@ struct PageState {
     sync_seen: bool,
 }
 
+impl PageState {
+    fn contains(&self, offset: u64) -> bool {
+        offset < self.key.1 + self.len as u64
+    }
+
+    /// Record a write by `tid` (clock `clk`, already bumped to `epoch`).
+    fn commit_write(
+        &mut self,
+        tid: u64,
+        epoch: u64,
+        clk: &VClock,
+        time: SimTime,
+        what: &'static str,
+    ) {
+        self.write_clock.join(clk);
+        self.last_write = Some(WriteSite {
+            tid,
+            epoch,
+            time,
+            what,
+        });
+    }
+
+    /// Write-write race check: the page's last write was by another
+    /// thread and is not in the writer's clock.
+    fn write_write_race(
+        &self,
+        tid: u64,
+        clk: &VClock,
+        time: SimTime,
+        what: &'static str,
+    ) -> Option<Violation> {
+        let lw = self
+            .last_write
+            .filter(|lw| lw.tid != tid && !clk.covers(lw.tid, lw.epoch))?;
+        let detail = format!(
+            "{what} by client {tid} races with {} by {} \
+             (epoch {}:{} at t={}): writer clock {} lacks it — \
+             missing HB edge {}:{} \u{2192} client {tid}",
+            lw.what,
+            tid_name(lw.tid),
+            lw.tid,
+            lw.epoch,
+            lw.time,
+            clk.render(),
+            lw.tid,
+            lw.epoch,
+        );
+        Some(Violation {
+            rule: "write-write-race",
+            client: tid,
+            server: self.key.0,
+            offset: self.key.1,
+            time,
+            detail,
+        })
+    }
+}
+
+/// A vacant position of the page hash table.
+const EMPTY: u32 = u32::MAX;
+
+/// The page registry: page state in a slot vector, found through an
+/// exact-start open-addressing hash (linear probing) on the hot path
+/// and through an ordered index for containment, free and recovery.
+///
+/// Lookup semantics are those of an ordered map: an access resolves to
+/// the entry with the greatest start at or below its offset, if that
+/// entry contains it; otherwise the access registers a new entry at its
+/// own offset. An exact-start hit on a non-empty entry is by definition
+/// that entry, so only misses walk the ordered index.
+#[derive(Default)]
+struct Pages {
+    slots: Vec<PageState>,
+    free_slots: Vec<u32>,
+    /// Open-addressing table of slot ids (`EMPTY` when vacant);
+    /// capacity is a power of two, at most half full.
+    table: Vec<u32>,
+    by_start: BTreeMap<PageKey, u32>,
+}
+
+impl Pages {
+    /// Home position of `key` (Fibonacci hashing; the server sits in
+    /// the bits no pool offset reaches).
+    fn hash(key: PageKey, mask: usize) -> usize {
+        let h = (key.1 ^ ((key.0 as u64) << 57)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> 32) as usize & mask
+    }
+
+    /// Table position holding `key`, if registered.
+    fn probe(&self, key: PageKey) -> Option<usize> {
+        if self.table.is_empty() {
+            return None;
+        }
+        let mask = self.table.len() - 1;
+        let mut i = Self::hash(key, mask);
+        loop {
+            match self.table[i] {
+                EMPTY => return None,
+                slot if self.slots[slot as usize].key == key => return Some(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Put `(key, slot)` in the first vacant position of its chain.
+    fn place(table: &mut [u32], key: PageKey, slot: u32) {
+        let mask = table.len() - 1;
+        let mut i = Self::hash(key, mask);
+        while table[i] != EMPTY {
+            i = (i + 1) & mask;
+        }
+        table[i] = slot;
+    }
+
+    /// Slot of the page containing `(server, offset)`, registering
+    /// `(offset, len)` when nothing does. Page-sized traffic
+    /// self-registers; a bare atomic on an unseen region gets an
+    /// offset-keyed word entry that a later page-sized access widens.
+    fn resolve(&mut self, server: usize, offset: u64, len: usize) -> usize {
+        let key = (server, offset);
+        if let Some(i) = self.probe(key) {
+            let slot = self.table[i] as usize;
+            let page = &mut self.slots[slot];
+            if page.len > 0 {
+                page.len = page.len.max(len);
+                return slot;
+            }
+        }
+        self.resolve_slow(key, len)
+    }
+
+    fn resolve_slow(&mut self, key: PageKey, len: usize) -> usize {
+        let (server, offset) = key;
+        let hit = self
+            .by_start
+            .range(..=key)
+            .next_back()
+            .filter(|&(&(s, _), &slot)| s == server && self.slots[slot as usize].contains(offset));
+        if let Some((&start, &slot)) = hit {
+            // Widen a word entry to the page once page-sized traffic
+            // shows its true extent.
+            let page = &mut self.slots[slot as usize];
+            if offset == start.1 && len > page.len {
+                page.len = len;
+            }
+            return slot as usize;
+        }
+        let fresh = PageState {
+            key,
+            len,
+            ..PageState::default()
+        };
+        if let Some(&slot) = self.by_start.get(&key) {
+            // A zero-length entry at this very start contains nothing:
+            // the new registration replaces it.
+            self.slots[slot as usize] = fresh;
+            return slot as usize;
+        }
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = fresh;
+                slot
+            }
+            None => {
+                self.slots.push(fresh);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.by_start.insert(key, slot);
+        if self.by_start.len() * 2 > self.table.len() {
+            // Rehash at twice the size (rare: the table only doubles).
+            self.table = vec![EMPTY; (self.table.len() * 2).max(1024)];
+            for (&k, &s) in &self.by_start {
+                Self::place(&mut self.table, k, s);
+            }
+        } else {
+            Self::place(&mut self.table, key, slot);
+        }
+        slot as usize
+    }
+
+    /// Slot of the page containing `(server, offset)`, registering
+    /// nothing.
+    fn find(&self, server: usize, offset: u64) -> Option<usize> {
+        if let Some(i) = self.probe((server, offset)) {
+            let slot = self.table[i] as usize;
+            if self.slots[slot].len > 0 {
+                return Some(slot);
+            }
+        }
+        self.by_start
+            .range(..=(server, offset))
+            .next_back()
+            .filter(|&(&(s, _), &slot)| s == server && self.slots[slot as usize].contains(offset))
+            .map(|(_, &slot)| slot as usize)
+    }
+
+    /// Unregister `key` (backward-shift deletion keeps every probe
+    /// chain unbroken).
+    fn remove(&mut self, key: PageKey) {
+        let Some(slot) = self.by_start.remove(&key) else {
+            return;
+        };
+        let mask = self.table.len() - 1;
+        let mut hole = self.probe(key).expect("indexed");
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let moved = self.table[j];
+            if moved == EMPTY {
+                break;
+            }
+            let home = Self::hash(self.slots[moved as usize].key, mask);
+            // Entry `j` may fill the hole unless its home lies
+            // cyclically in (hole, j].
+            let stays = if hole <= j {
+                hole < home && home <= j
+            } else {
+                hole < home || home <= j
+            };
+            if !stays {
+                self.table[hole] = moved;
+                hole = j;
+            }
+        }
+        self.table[hole] = EMPTY;
+        self.slots[slot as usize] = PageState::default();
+        self.free_slots.push(slot);
+    }
+
+    /// Registered keys on `server` intersecting `[offset, end)`.
+    fn overlapping(&self, server: usize, offset: u64, end: u64) -> Vec<PageKey> {
+        self.by_start
+            .range((server, 0)..(server, end))
+            .filter(|&(&(_, start), &slot)| start + self.slots[slot as usize].len as u64 > offset)
+            .map(|(&k, _)| k)
+            .collect()
+    }
+}
+
 /// An optimistic READ whose validation window is still open.
-#[derive(Clone, Debug)]
 struct PendingRead {
-    server: usize,
-    start: u64,
+    key: PageKey,
     len: usize,
     time: SimTime,
     /// Owner-id field of the lock word if it was held by another client
@@ -227,50 +528,29 @@ pub struct Counts {
     pub violations: u64,
 }
 
+/// `v[i]`, growing `v` with defaults as needed.
+fn grown<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if v.len() <= i {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
+}
+
 #[derive(Default)]
 struct State {
-    clocks: BTreeMap<u64, VClock>,
-    pages: BTreeMap<(usize, u64), PageState>,
-    pending: BTreeMap<u64, BTreeMap<(usize, u64), PendingRead>>,
+    /// Client clocks by endpoint id.
+    clients: Vec<VClock>,
+    /// Server clocks by server index.
+    servers: Vec<VClock>,
+    pages: Pages,
+    /// Open windows per client (by endpoint id).
+    pending: Vec<Vec<PendingRead>>,
     epoch_seen: BTreeMap<u64, u64>,
     violations: Vec<Violation>,
     counts: Counts,
 }
 
 impl State {
-    /// Page containing `(server, offset)`, registering `(offset, len)`
-    /// when nothing does. Page-sized traffic self-registers; a bare
-    /// atomic on an unseen region gets an offset-keyed word entry that a
-    /// later page-sized access widens.
-    fn page_key(&mut self, server: usize, offset: u64, len: usize) -> (usize, u64) {
-        let hit = self
-            .pages
-            .range(..=(server, offset))
-            .next_back()
-            .filter(|&(&(s, start), p)| s == server && offset < start + p.len as u64)
-            .map(|(&k, p)| (k, p.len));
-        if let Some((key, cur_len)) = hit {
-            // Widen a word entry to the page once page-sized traffic
-            // shows its true extent.
-            if offset == key.1 && len > cur_len {
-                self.pages.get_mut(&key).expect("present").len = len;
-            }
-            return key;
-        }
-        self.pages.insert(
-            (server, offset),
-            PageState {
-                len,
-                ..PageState::default()
-            },
-        );
-        (server, offset)
-    }
-
-    fn clock(&mut self, tid: u64) -> &mut VClock {
-        self.clocks.entry(tid).or_default()
-    }
-
     fn push_violation(&mut self, v: Violation) {
         self.counts.violations += 1;
         if self.violations.len() < MAX_VIOLATIONS {
@@ -278,79 +558,28 @@ impl State {
         }
     }
 
-    /// Bump `tid`'s own component; returns the post-bump clock and epoch.
-    fn bumped(&mut self, tid: u64) -> (VClock, u64) {
-        let c = self.clocks.entry(tid).or_default();
-        let epoch = c.bump(tid);
-        (c.clone(), epoch)
-    }
-
-    /// Write-write race check: the page's last write was by another
-    /// thread and is not in the writer's clock.
-    fn check_write_write(
-        &mut self,
-        tid: u64,
-        clk: &VClock,
-        key: (usize, u64),
-        ev_time: SimTime,
-        what: &'static str,
-    ) {
-        let race = self
-            .pages
-            .get(&key)
-            .and_then(|p| p.last_write.clone())
-            .filter(|lw| lw.tid != tid && !clk.covers(lw.tid, lw.epoch));
-        if let Some(lw) = race {
-            let detail = format!(
-                "{what} by client {tid} races with {} by {} \
-                 (epoch {}:{} at t={}): writer clock {} lacks it — \
-                 missing HB edge {}:{} \u{2192} client {tid}",
-                lw.what,
-                tid_name(lw.tid),
-                lw.tid,
-                lw.epoch,
-                lw.time,
-                clk.render(),
-                lw.tid,
-                lw.epoch,
-            );
-            self.push_violation(Violation {
-                rule: "write-write-race",
-                client: tid,
-                server: key.0,
-                offset: key.1,
-                time: ev_time,
-                detail,
-            });
+    /// Close `client`'s open window on `key`, if any; counts it as
+    /// validated.
+    fn validate(&mut self, client: u64, key: PageKey) {
+        if let Some(p) = self.pending.get_mut(client as usize) {
+            if let Some(i) = p.iter().position(|w| w.key == key) {
+                p.swap_remove(i);
+                self.counts.validated += 1;
+            }
         }
     }
 
-    /// Record a write by `tid` (with pre-bumped clock `clk`/`epoch`)
-    /// against the page at `key`.
-    fn commit_write(
-        &mut self,
-        tid: u64,
-        epoch: u64,
-        clk: &VClock,
-        key: (usize, u64),
-        ev_time: SimTime,
-        what: &'static str,
-    ) {
-        let page = self.pages.get_mut(&key).expect("registered");
-        page.write_clock.join(clk);
-        page.last_write = Some(WriteSite {
-            tid,
-            epoch,
-            time: ev_time,
-            what,
-        });
+    fn has_pending(&self, client: u64) -> bool {
+        self.pending
+            .get(client as usize)
+            .is_some_and(|p| !p.is_empty())
     }
 
     /// Drop every pending window of `client` without reporting (the
     /// attempt failed or a new op span began; the bytes never reached a
     /// successful result).
     fn drop_pending(&mut self, client: u64) {
-        if let Some(p) = self.pending.get_mut(&client) {
+        if let Some(p) = self.pending.get_mut(client as usize) {
             p.clear();
         }
     }
@@ -359,11 +588,13 @@ impl State {
     /// completed successfully, so the racy/torn bytes escaped with no
     /// validating fence ever observed.
     fn report_pending(&mut self, client: u64, op: OpKind, time: SimTime) {
-        let open = match self.pending.get_mut(&client) {
-            Some(p) => std::mem::take(p),
-            None => return,
-        };
-        for (_, p) in open {
+        if !self.has_pending(client) {
+            return;
+        }
+        let mut open = std::mem::take(&mut self.pending[client as usize]);
+        open.sort_by_key(|p| p.key);
+        for p in open {
+            let (server, start) = p.key;
             let (rule, chain) = if let Some(owner) = p.dirty {
                 (
                     "locked-snapshot-read",
@@ -374,8 +605,8 @@ impl State {
                          version re-check can validate it, yet it escaped into a \
                          completed {} result",
                         p.time,
-                        p.server,
-                        p.start,
+                        server,
+                        start,
                         p.len,
                         op.label(),
                     ),
@@ -392,8 +623,8 @@ impl State {
                          escaped into a completed {} result — missing HB edge \
                          {}:{} \u{2192} client {client}",
                         p.time,
-                        p.server,
-                        p.start,
+                        server,
+                        start,
                         p.len,
                         w.what,
                         tid_name(w.tid),
@@ -410,8 +641,8 @@ impl State {
             self.push_violation(Violation {
                 rule,
                 client,
-                server: p.server,
-                offset: p.start,
+                server,
+                offset: start,
                 time,
                 detail: chain,
             });
@@ -420,8 +651,12 @@ impl State {
 }
 
 /// The detector. Install once per cluster; query at end of run.
+///
+/// The cluster owns the detector through its observer list, so the
+/// detector holds the cluster weakly: dropping every [`Cluster`] handle
+/// frees both.
 pub struct Racecheck {
-    cluster: Cluster,
+    cluster: WeakCluster,
     state: RefCell<State>,
 }
 
@@ -432,18 +667,27 @@ impl Racecheck {
     pub fn install(cluster: &Cluster, page_size: usize) -> Rc<Racecheck> {
         let _ = page_size;
         let rc = Rc::new(Racecheck {
-            cluster: cluster.clone(),
+            cluster: cluster.downgrade(),
             state: RefCell::new(State::default()),
         });
         cluster.add_observer(rc.clone());
         rc
     }
 
+    /// The observed cluster. Events only fire from a live cluster, so
+    /// inside a callback this always succeeds.
+    fn cluster(&self) -> Cluster {
+        self.cluster
+            .upgrade()
+            .expect("observer callbacks run on a live cluster")
+    }
+
     /// Cluster restart epoch: total restarts across servers — the same
     /// signal `CacheLayer`/`Learned` reconcile against.
     fn current_epoch(&self) -> u64 {
-        (0..self.cluster.num_servers())
-            .map(|s| self.cluster.server_restarts(s))
+        let cluster = self.cluster();
+        (0..cluster.num_servers())
+            .map(|s| cluster.server_restarts(s))
             .sum()
     }
 
@@ -491,66 +735,72 @@ impl Racecheck {
         }
     }
 
+    /// Current lock word at `(server, offset)`, via the untimed control
+    /// path (all pool borrows are released before an event fires).
+    fn lock_word(&self, (server, offset): PageKey) -> u64 {
+        self.cluster().with_pool(server, |pool| {
+            let mut word = [0u8; 8];
+            pool.copy_out(offset, &mut word);
+            u64::from_le_bytes(word)
+        })
+    }
+
     fn handle_read(&self, ev: &VerbEvent) {
         if ev.len < MIN_PAGE_READ {
             return; // word probe of a synchronization word
         }
         let mut guard = self.state.borrow_mut();
         let st = &mut *guard;
-        let key = st.page_key(ev.server, ev.offset, ev.len);
-        let page_len = st.pages[&key].len;
+        let slot = st.pages.resolve(ev.server, ev.offset, ev.len);
         st.counts.reads_checked += 1;
-        // Current lock word, via the untimed control path (all pool
-        // borrows are released before an event fires). The word the
-        // memory effect just copied out is the word in memory now: the
-        // simulation is single-threaded and the event fires at apply time.
-        let word_ptr = RemotePtr::new(key.0, key.1);
-        let word = u64::from_le_bytes(
-            self.cluster.setup_read(word_ptr, 8)[..8]
-                .try_into()
-                .expect("8-byte lock word"),
-        );
+        let page = &st.pages.slots[slot];
+        let key = page.key;
+        // The word the memory effect just copied out is the word in
+        // memory now: the simulation is single-threaded and the event
+        // fires at apply time.
+        let word = self.lock_word(key);
         let dirty = (lock_word::is_locked(word) && lock_word::owner_of(word) != (ev.client & 0xff))
             .then(|| lock_word::owner_of(word));
-        let reader_clock = st.clock(ev.client).clone();
-        let writer = st.pages[&key]
+        let reader = st.clients.get(ev.client as usize);
+        let writer = page
             .last_write
-            .clone()
-            .filter(|w| w.tid != ev.client && !reader_clock.covers(w.tid, w.epoch));
+            .filter(|w| w.tid != ev.client && !reader.is_some_and(|c| c.covers(w.tid, w.epoch)));
         if dirty.is_some() {
             st.counts.dirty_reads += 1;
         } else if writer.is_some() {
             st.counts.racy_reads += 1;
         }
-        let pending = st.pending.entry(ev.client).or_default();
         if dirty.is_some() || writer.is_some() {
-            // A re-read supersedes any earlier window on the same page.
-            pending.insert(
+            let window = PendingRead {
                 key,
-                PendingRead {
-                    server: key.0,
-                    start: key.1,
-                    len: page_len,
-                    time: ev.time,
-                    dirty,
-                    writer,
-                    reader_clock,
-                },
-            );
-        } else if pending.remove(&key).is_some() {
+                len: page.len,
+                time: ev.time,
+                dirty,
+                writer,
+                reader_clock: reader.cloned().unwrap_or_default(),
+            };
+            // A re-read supersedes any earlier window on the same page.
+            let open = grown(&mut st.pending, ev.client as usize);
+            match open.iter_mut().find(|w| w.key == key) {
+                Some(w) => *w = window,
+                None => open.push(window),
+            }
+        } else {
             // Clean re-read of a page with an open window: superseded.
-            st.counts.validated += 1;
+            st.validate(ev.client, key);
         }
     }
 
     fn handle_cas(&self, ev: &VerbEvent, expected: u64, new: u64, prev: u64) {
-        let mut st = self.state.borrow_mut();
-        let key = st.page_key(ev.server, ev.offset, 8);
+        let mut guard = self.state.borrow_mut();
+        let st = &mut *guard;
+        let slot = st.pages.resolve(ev.server, ev.offset, 8);
+        let page = &mut st.pages.slots[slot];
+        let clk = grown(&mut st.clients, ev.client as usize);
         if prev == expected {
             // Track lock ownership from the installed word: an acquire
             // leaves it locked (by this client), a lease break leaves
             // it unlocked.
-            let page = st.pages.get_mut(&key).expect("registered");
             page.sync_seen = true;
             page.locked_by = lock_word::is_locked(new).then_some(ev.client);
             // The CAS observed (and replaced) the word: acquire edge.
@@ -559,40 +809,111 @@ impl Racecheck {
             // split sibling installed inside the splitter's critical
             // section): with sequentially awaited verbs, observing the
             // word implies the writes that produced it have applied.
-            let (rel, wcl) = {
-                let page = &st.pages[&key];
-                (page.release.clone(), page.write_clock.clone())
-            };
-            let clk = st.clock(ev.client);
-            clk.join(&rel);
-            clk.join(&wcl);
-            let (clk, epoch) = st.bumped(ev.client);
-            st.check_write_write(ev.client, &clk, key, ev.time, "lock-word CAS");
-            st.commit_write(ev.client, epoch, &clk, key, ev.time, "lock-word CAS");
+            clk.join(&page.release);
+            clk.join(&page.write_clock);
+            let epoch = clk.bump(ev.client);
+            let race = page.write_write_race(ev.client, clk, ev.time, "lock-word CAS");
+            page.commit_write(ev.client, epoch, clk, ev.time, "lock-word CAS");
+            let key = page.key;
+            if let Some(v) = race {
+                st.push_violation(v);
+            }
             // A successful CAS on the page validates the reader's own
             // open window (the version it read is the version it swapped).
-            if st
-                .pending
-                .get_mut(&ev.client)
-                .is_some_and(|p| p.remove(&key).is_some())
-            {
-                st.counts.validated += 1;
-            }
+            st.validate(ev.client, key);
         } else {
             // Failed CAS still observed the current word, which (with
             // sequentially awaited critical-section verbs) implies the
             // writes leading to it have applied.
-            let wcl = st.pages[&key].write_clock.clone();
-            st.clock(ev.client).join(&wcl);
+            clk.join(&page.write_clock);
         }
     }
 
-    fn fence_page(&self, st: &mut State, server: usize, offset: u64) -> Option<(usize, u64)> {
-        st.pages
-            .range(..=(server, offset))
-            .next_back()
-            .filter(|&(&(s, start), p)| s == server && offset < start + p.len as u64)
-            .map(|(&k, _)| k)
+    fn handle_write(&self, ev: &VerbEvent) {
+        let mut guard = self.state.borrow_mut();
+        let st = &mut *guard;
+        let slot = st.pages.resolve(ev.server, ev.offset, ev.len);
+        let page = &mut st.pages.slots[slot];
+        let key = page.key;
+        // Lockset check: an in-place WRITE to a lock-protected page (one
+        // that has seen lock-word traffic) must come from the current
+        // lock holder — otherwise the bytes are published with no
+        // release edge ordering them, and any concurrent optimistic
+        // reader races with them by construction. Fresh pages being
+        // initialized (split sibling, new root) have seen no lock
+        // traffic yet.
+        let unlocked = (page.sync_seen && page.locked_by != Some(ev.client)).then(|| {
+            let holder = match page.locked_by {
+                Some(o) => format!("the lock is held by client {o}"),
+                None => "the lock was already released \u{2014} the \
+                         unlock FAA published the page before these \
+                         bytes landed"
+                    .to_string(),
+            };
+            Violation {
+                rule: "unlocked-write",
+                client: ev.client,
+                server: key.0,
+                offset: key.1,
+                time: ev.time,
+                detail: format!(
+                    "in-place WRITE by client {} to the lock-protected page \
+                     [server {}, {:#x}+{}] outside its critical section \
+                     ({holder}): optimistic readers can observe the bytes \
+                     with no happens-before edge from this write",
+                    ev.client, key.0, key.1, ev.len,
+                ),
+            }
+        });
+        let clk = grown(&mut st.clients, ev.client as usize);
+        let epoch = clk.bump(ev.client);
+        let race = page.write_write_race(ev.client, clk, ev.time, "WRITE");
+        page.commit_write(ev.client, epoch, clk, ev.time, "WRITE");
+        for v in unlocked.into_iter().chain(race) {
+            st.push_violation(v);
+        }
+    }
+
+    fn handle_unlock(&self, ev: &VerbEvent) {
+        // The unlock FAA of Listing 4: release edge, then a write. The
+        // release clock includes the FAA's own epoch so the next
+        // acquirer is ordered after the unlock itself.
+        let mut guard = self.state.borrow_mut();
+        let st = &mut *guard;
+        let slot = st.pages.resolve(ev.server, ev.offset, 8);
+        let page = &mut st.pages.slots[slot];
+        let clk = grown(&mut st.clients, ev.client as usize);
+        let epoch = clk.bump(ev.client);
+        let race = page.write_write_race(ev.client, clk, ev.time, "unlock FAA");
+        page.sync_seen = true;
+        page.locked_by = None;
+        page.release.join(clk);
+        page.commit_write(ev.client, epoch, clk, ev.time, "unlock FAA");
+        if let Some(v) = race {
+            st.push_violation(v);
+        }
+    }
+
+    /// Close `client`'s window on the page a fence names. `revalidate`
+    /// fences leave dirty windows open: a torn snapshot cannot be
+    /// validated by a version re-check; only supersession/discard
+    /// clears it.
+    fn handle_fence(&self, client: u64, server: usize, offset: u64, revalidate: bool) {
+        let mut st = self.state.borrow_mut();
+        if !st.has_pending(client) {
+            return;
+        }
+        let Some(slot) = st.pages.find(server, offset) else {
+            return;
+        };
+        let key = st.pages.slots[slot].key;
+        let open = &st.pending[client as usize];
+        if open
+            .iter()
+            .any(|w| w.key == key && !(revalidate && w.dirty.is_some()))
+        {
+            st.validate(client, key);
+        }
     }
 }
 
@@ -600,66 +921,14 @@ impl VerbObserver for Racecheck {
     fn on_verb(&self, ev: &VerbEvent) {
         match ev.kind {
             VerbKind::Alloc => {
-                let mut st = self.state.borrow_mut();
-                st.page_key(ev.server, ev.offset, ev.len);
+                self.state
+                    .borrow_mut()
+                    .pages
+                    .resolve(ev.server, ev.offset, ev.len);
             }
             VerbKind::Read => self.handle_read(ev),
-            VerbKind::Write => {
-                let mut st = self.state.borrow_mut();
-                let key = st.page_key(ev.server, ev.offset, ev.len);
-                // Lockset check: an in-place WRITE to a lock-protected
-                // page (one that has seen lock-word traffic) must come
-                // from the current lock holder — otherwise the bytes
-                // are published with no release edge ordering them, and
-                // any concurrent optimistic reader races with them by
-                // construction. Fresh pages being initialized (split
-                // sibling, new root) have seen no lock traffic yet.
-                let (held, protected) = {
-                    let page = &st.pages[&key];
-                    (page.locked_by, page.sync_seen)
-                };
-                if protected && held != Some(ev.client) {
-                    let holder = match held {
-                        Some(o) => format!("the lock is held by client {o}"),
-                        None => "the lock was already released \u{2014} the \
-                                 unlock FAA published the page before these \
-                                 bytes landed"
-                            .to_string(),
-                    };
-                    let detail = format!(
-                        "in-place WRITE by client {} to the lock-protected page \
-                         [server {}, {:#x}+{}] outside its critical section \
-                         ({holder}): optimistic readers can observe the bytes \
-                         with no happens-before edge from this write",
-                        ev.client, key.0, key.1, ev.len,
-                    );
-                    st.push_violation(Violation {
-                        rule: "unlocked-write",
-                        client: ev.client,
-                        server: key.0,
-                        offset: key.1,
-                        time: ev.time,
-                        detail,
-                    });
-                }
-                let (clk, epoch) = st.bumped(ev.client);
-                st.check_write_write(ev.client, &clk, key, ev.time, "WRITE");
-                st.commit_write(ev.client, epoch, &clk, key, ev.time, "WRITE");
-            }
-            VerbKind::Faa { .. } => {
-                // The unlock FAA of Listing 4: release edge, then a write.
-                // The release clock includes the FAA's own epoch so the
-                // next acquirer is ordered after the unlock itself.
-                let mut st = self.state.borrow_mut();
-                let key = st.page_key(ev.server, ev.offset, 8);
-                let (clk, epoch) = st.bumped(ev.client);
-                st.check_write_write(ev.client, &clk, key, ev.time, "unlock FAA");
-                let page = st.pages.get_mut(&key).expect("registered");
-                page.sync_seen = true;
-                page.locked_by = None;
-                page.release.join(&clk);
-                st.commit_write(ev.client, epoch, &clk, key, ev.time, "unlock FAA");
-            }
+            VerbKind::Write => self.handle_write(ev),
+            VerbKind::Faa { .. } => self.handle_unlock(ev),
             VerbKind::Cas {
                 expected,
                 new,
@@ -670,30 +939,25 @@ impl VerbObserver for Racecheck {
 
     fn on_free(&self, server: usize, offset: u64, len: usize, _time: SimTime) {
         let mut st = self.state.borrow_mut();
-        let end = offset + len as u64;
-        let keys: Vec<_> = st
-            .pages
-            .range((server, 0)..(server, end))
-            .filter(|&(&(_, start), p)| start + p.len as u64 > offset)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in &keys {
+        let keys = st.pages.overlapping(server, offset, offset + len as u64);
+        for &k in &keys {
             st.pages.remove(k);
         }
-        for p in st.pending.values_mut() {
-            p.retain(|k, _| !keys.contains(k));
+        for p in &mut st.pending {
+            p.retain(|w| !keys.contains(&w.key));
         }
     }
 
     fn on_rpc(&self, ev: &RpcEvent) {
-        let mut st = self.state.borrow_mut();
+        let mut guard = self.state.borrow_mut();
+        let st = &mut *guard;
         let stid = SERVER_BASE + ev.server as u64;
-        st.clock(ev.client).bump(ev.client);
-        st.clock(stid).bump(stid);
-        let c = st.clock(ev.client).clone();
-        st.clock(stid).join(&c);
-        let s = st.clock(stid).clone();
-        st.clock(ev.client).join(&s);
+        let c = grown(&mut st.clients, ev.client as usize);
+        let s = grown(&mut st.servers, ev.server);
+        c.bump(ev.client);
+        s.bump(stid);
+        s.join(c);
+        c.join(s);
     }
 
     fn on_verb_failed(&self, client: u64, _server: usize, _time: SimTime) {
@@ -719,40 +983,16 @@ impl VerbObserver for Racecheck {
     }
 
     fn on_fence(&self, client: u64, kind: FenceKind, server: usize, offset: u64, time: SimTime) {
-        let mut st = self.state.borrow_mut();
         match kind {
-            FenceKind::Revalidate => {
-                if let Some(key) = self.fence_page(&mut st, server, offset) {
-                    let cleared = st.pending.get_mut(&client).is_some_and(|p| {
-                        // A torn snapshot cannot be validated by a version
-                        // re-check; only supersession/discard clears it.
-                        match p.get(&key) {
-                            Some(w) if w.dirty.is_none() => p.remove(&key).is_some(),
-                            _ => false,
-                        }
-                    });
-                    if cleared {
-                        st.counts.validated += 1;
-                    }
-                }
-            }
-            FenceKind::Discard => {
-                if let Some(key) = self.fence_page(&mut st, server, offset) {
-                    if st
-                        .pending
-                        .get_mut(&client)
-                        .is_some_and(|p| p.remove(&key).is_some())
-                    {
-                        st.counts.validated += 1;
-                    }
-                }
-            }
+            FenceKind::Revalidate => self.handle_fence(client, server, offset, true),
+            FenceKind::Discard => self.handle_fence(client, server, offset, false),
             FenceKind::EpochCheck => {
                 let epoch = self.current_epoch();
-                st.epoch_seen.insert(client, epoch);
+                self.state.borrow_mut().epoch_seen.insert(client, epoch);
             }
             FenceKind::CachedUse => {
                 let now_epoch = self.current_epoch();
+                let mut st = self.state.borrow_mut();
                 let seen = st.epoch_seen.get(&client).copied().unwrap_or(0);
                 if seen != now_epoch {
                     let detail = format!(
@@ -776,10 +1016,12 @@ impl VerbObserver for Racecheck {
     }
 
     fn on_server_recovered(&self, server: usize, _time: SimTime) {
-        let mut st = self.state.borrow_mut();
+        let mut guard = self.state.borrow_mut();
+        let st = &mut *guard;
         // Memory rewound to the durable prefix: pre-crash clock shadow
         // state on this server must not order post-crash accesses.
-        for ((_, _), page) in st.pages.range_mut((server, 0)..(server, u64::MAX)) {
+        for (_, &slot) in st.pages.by_start.range((server, 0)..(server, u64::MAX)) {
+            let page = &mut st.pages.slots[slot as usize];
             page.release = VClock::default();
             page.write_clock = VClock::default();
             page.last_write = None;
@@ -787,8 +1029,8 @@ impl VerbObserver for Racecheck {
             // volatile state; survivors re-acquire before writing.
             page.locked_by = None;
         }
-        for p in st.pending.values_mut() {
-            p.retain(|&(s, _), _| s != server);
+        for p in &mut st.pending {
+            p.retain(|w| w.key.0 != server);
         }
     }
 }
@@ -796,6 +1038,16 @@ impl VerbObserver for Racecheck {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const SRV: u64 = SERVER_BASE;
+
+    fn clock(parts: &[(u64, u64)]) -> VClock {
+        let mut c = VClock::default();
+        for &(tid, v) in parts {
+            *c.slot(tid) = v;
+        }
+        c
+    }
 
     #[test]
     fn vclock_join_and_covers() {
@@ -812,16 +1064,111 @@ mod tests {
     }
 
     #[test]
+    fn vclock_equality_ignores_trailing_zeros() {
+        let short = clock(&[(0, 3)]);
+        let mut long = clock(&[(0, 3), (7, 0), (SRV + 2, 0)]);
+        assert_eq!(long.clients.len(), 8, "explicit zeros are stored");
+        assert_eq!(short, long);
+        assert_eq!(long, short);
+        assert_eq!(VClock::default(), clock(&[(4, 0)]));
+        long.bump(7);
+        assert_ne!(short, long);
+        assert_ne!(clock(&[(SRV, 1)]), clock(&[(0, 1)]));
+    }
+
+    #[test]
+    fn vclock_join_and_covers_span_clients_and_servers() {
+        let mut c = clock(&[(0, 2), (3, 1)]);
+        let s = clock(&[(SRV + 1, 4), (3, 5), (9, 1)]);
+        c.join(&s);
+        assert_eq!(c, clock(&[(0, 2), (3, 5), (9, 1), (SRV + 1, 4)]));
+        assert!(c.covers(SRV + 1, 4) && !c.covers(SRV + 1, 5));
+        assert!(c.covers(9, 1) && c.covers(0, 2));
+        // A server component never aliases the client of the same index.
+        assert_eq!(c.get(1), 0);
+        assert!(!c.covers(SRV, 1));
+        // Joining a shorter clock keeps the longer one's tail.
+        let mut shorter = clock(&[(0, 9)]);
+        shorter.join(&c);
+        assert_eq!(shorter, clock(&[(0, 9), (3, 5), (9, 1), (SRV + 1, 4)]));
+    }
+
+    #[test]
+    fn vclock_grows_for_an_unseen_client() {
+        let mut c = clock(&[(1, 1)]);
+        assert_eq!(c.clients.len(), 2);
+        assert_eq!(c.get(40), 0, "reading past the end is a zero, not a grow");
+        assert_eq!(c.clients.len(), 2);
+        assert_eq!(c.bump(40), 1);
+        assert_eq!(c.clients.len(), 41);
+        assert_eq!(c.get(40), 1);
+        assert_eq!(c.bump(SRV + 3), 1);
+        assert_eq!(c.servers.len(), 4);
+    }
+
+    #[test]
+    fn vclock_render_matches_the_ordered_map_format() {
+        // Nonzero components in thread-id order, clients then servers —
+        // the order a map keyed by thread id iterates in.
+        let c = clock(&[(5, 1), (SRV + 1, 3), (0, 2), (2, 0)]);
+        assert_eq!(c.render(), "{c0:2, c5:1, srv1:3}");
+        assert_eq!(VClock::default().render(), "{}");
+        assert_eq!(clock(&[(SRV, 7)]).render(), "{srv0:7}");
+    }
+
+    #[test]
     fn page_registry_contains_and_widens() {
-        let mut st = State::default();
+        let mut pages = Pages::default();
+        let key = |p: &Pages, slot: usize| (p.slots[slot].key, p.slots[slot].len);
         // A bare atomic registers a word entry; a page read widens it.
-        assert_eq!(st.page_key(0, 0x100, 8), (0, 0x100));
-        assert_eq!(st.page_key(0, 0x100, 256), (0, 0x100));
-        assert_eq!(st.pages[&(0, 0x100)].len, 256);
+        let s = pages.resolve(0, 0x100, 8);
+        assert_eq!(key(&pages, s), ((0, 0x100), 8));
+        assert_eq!(pages.resolve(0, 0x100, 256), s);
+        assert_eq!(key(&pages, s), ((0, 0x100), 256));
         // Offsets inside the page resolve to its start.
-        assert_eq!(st.page_key(0, 0x1f0, 8), (0, 0x100));
-        // The next page is distinct.
-        assert_eq!(st.page_key(0, 0x200, 256), (0, 0x200));
+        assert_eq!(pages.resolve(0, 0x1f0, 8), s);
+        assert_eq!(pages.find(0, 0x1f8), Some(s));
+        // The next page is distinct, and so is the same offset on
+        // another server.
+        let next = pages.resolve(0, 0x200, 256);
+        assert_ne!(next, s);
+        assert_eq!(key(&pages, next), ((0, 0x200), 256));
+        assert_eq!(pages.find(1, 0x100), None);
+        // Pages start wherever the 8-byte-aligned allocator put them.
+        let odd = pages.resolve(0, 0x308, 256);
+        assert_eq!(pages.resolve(0, 0x400, 8), odd);
+    }
+
+    #[test]
+    fn page_registry_survives_growth_and_removal() {
+        let mut pages = Pages::default();
+        // Enough pages to grow the hash table several times.
+        let slots: Vec<usize> = (0..5_000u64)
+            .map(|i| pages.resolve((i % 3) as usize, 8 + i * 264, 256))
+            .collect();
+        for (i, &slot) in slots.iter().enumerate() {
+            let i = i as u64;
+            assert_eq!(pages.find((i % 3) as usize, 8 + i * 264 + 100), Some(slot));
+        }
+        // Remove every other page; the rest stay reachable through
+        // their exact start and their interior.
+        for i in (0..5_000u64).step_by(2) {
+            pages.remove(((i % 3) as usize, 8 + i * 264));
+        }
+        for (i, &slot) in slots.iter().enumerate() {
+            let i = i as u64;
+            let (server, start) = ((i % 3) as usize, 8 + i * 264);
+            if i.is_multiple_of(2) {
+                assert_eq!(pages.find(server, start), None);
+            } else {
+                assert_eq!(pages.find(server, start), Some(slot));
+                assert_eq!(pages.resolve(server, start + 16, 8), slot);
+            }
+        }
+        // Freed slots are reused for new registrations.
+        let before = pages.slots.len();
+        pages.resolve(0, 8, 256);
+        assert_eq!(pages.slots.len(), before);
     }
 
     #[test]

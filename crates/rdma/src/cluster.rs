@@ -43,6 +43,8 @@ pub trait DurableState {
 /// recovering (Wal) or restarts (Off).
 type RecoveredHook = Rc<dyn Fn(usize)>;
 
+type ObserverList = Rc<[Rc<dyn crate::observer::VerbObserver>]>;
+
 /// One completed crash-recovery cycle under [`Durability::Wal`], with the
 /// measured recovery time (the RTO numerator: restart command to healthy).
 #[derive(Clone, Copy, Debug)]
@@ -105,8 +107,10 @@ struct Inner {
     /// Injected-fault state (all servers up, no faults, by default).
     faults: RefCell<FaultState>,
     /// Installed verb observers (sanitizer, telemetry, ...), fired in
-    /// registration order.
-    observers: RefCell<Vec<Rc<dyn crate::observer::VerbObserver>>>,
+    /// registration order. An immutable snapshot: dispatch clones the
+    /// `Rc` (no allocation) and registration swaps in a new list, so an
+    /// observer may add or clear observers from inside a callback.
+    observers: RefCell<ObserverList>,
     /// Mirror of `!observers.is_empty()`; a plain `Cell` read so the verb
     /// hot path pays one flag check when nothing is listening.
     observers_active: std::cell::Cell<bool>,
@@ -179,18 +183,35 @@ pub struct Cluster {
     inner: Rc<Inner>,
 }
 
+/// A non-owning handle to a [`Cluster`] (see [`Cluster::downgrade`]).
+/// State that the cluster itself keeps alive — an installed observer,
+/// for one — holds this instead of a `Cluster`, so the two do not keep
+/// each other alive.
+#[derive(Clone)]
+pub struct WeakCluster {
+    inner: Weak<Inner>,
+}
+
+impl WeakCluster {
+    /// The cluster, if any strong handle to it is still alive.
+    pub fn upgrade(&self) -> Option<Cluster> {
+        self.inner.upgrade().map(|inner| Cluster { inner })
+    }
+}
+
 /// Checkpoint capturer for one server: pool image + allocator watermark +
 /// the registered durable state's entry snapshot. Holds the cluster
 /// weakly so a WAL outliving its cluster captures nothing instead of
 /// leaking a cycle.
 struct ServerSnapshot {
-    inner: Weak<Inner>,
+    cluster: WeakCluster,
     server: usize,
 }
 
 impl CheckpointSource for ServerSnapshot {
     fn capture(&self) -> Option<CheckpointPayload> {
-        let inner = self.inner.upgrade()?;
+        let cluster = self.cluster.upgrade()?;
+        let inner = &cluster.inner;
         let sv = &inner.servers[self.server];
         let (pool_image, allocated) = {
             let pool = sv.pool.borrow();
@@ -268,7 +289,7 @@ impl Cluster {
                 active_clients: std::cell::Cell::new(0),
                 next_client: std::cell::Cell::new(0),
                 faults: RefCell::new(FaultState::new(spec_servers)),
-                observers: RefCell::new(Vec::new()),
+                observers: RefCell::new(Rc::new([])),
                 observers_active: std::cell::Cell::new(false),
                 durable: RefCell::new(vec![None; spec_servers]),
                 recovering: RefCell::new(vec![false; spec_servers]),
@@ -280,12 +301,20 @@ impl Cluster {
         for (s, sv) in cluster.inner.servers.iter().enumerate() {
             if let Some(w) = &sv.wal {
                 w.set_source(Rc::new(ServerSnapshot {
-                    inner: Rc::downgrade(&cluster.inner),
+                    cluster: cluster.downgrade(),
                     server: s,
                 }));
             }
         }
         cluster
+    }
+
+    /// A non-owning handle to this cluster; it upgrades while any
+    /// [`Cluster`] clone is alive.
+    pub fn downgrade(&self) -> WeakCluster {
+        WeakCluster {
+            inner: Rc::downgrade(&self.inner),
+        }
     }
 
     /// Declare how many compute clients are connected; RPC handler
@@ -709,13 +738,14 @@ impl Cluster {
     /// registration order; registering the same observer twice delivers
     /// its events twice.
     pub fn add_observer(&self, observer: Rc<dyn crate::observer::VerbObserver>) {
-        self.inner.observers.borrow_mut().push(observer);
+        let mut list = self.inner.observers.borrow_mut();
+        *list = list.iter().cloned().chain([observer]).collect();
         self.inner.observers_active.set(true);
     }
 
     /// Remove all installed observers.
     pub fn clear_observers(&self) {
-        self.inner.observers.borrow_mut().clear();
+        *self.inner.observers.borrow_mut() = Rc::new([]);
         self.inner.observers_active.set(false);
     }
 
@@ -728,14 +758,15 @@ impl Cluster {
     }
 
     /// Run `f` over each installed observer, in registration order. The
-    /// list is cloned out first so an observer may register/clear
-    /// observers from inside its callback.
+    /// current snapshot is held for the whole dispatch (an `Rc` clone,
+    /// no allocation), so an observer may register/clear observers from
+    /// inside its callback; the change applies from the next event.
     fn each_observer(&self, f: impl Fn(&dyn crate::observer::VerbObserver)) {
         if !self.inner.observers_active.get() {
             return;
         }
-        let obs = self.inner.observers.borrow().clone();
-        for o in &obs {
+        let obs = Rc::clone(&self.inner.observers.borrow());
+        for o in obs.iter() {
             f(o.as_ref());
         }
     }
@@ -916,6 +947,85 @@ mod tests {
         assert_eq!(cluster.setup_read(ptr, 3), vec![9, 8, 7]);
         // Untimed: the clock did not move.
         assert_eq!(sim.now().as_nanos(), 0);
+    }
+
+    /// Records `(tag, label)` for every instant; on `"grow"` registers a
+    /// new recorder, on `"clear"` removes every observer.
+    struct Recorder {
+        tag: u32,
+        cluster: WeakCluster,
+        log: Rc<RefCell<Vec<(u32, String)>>>,
+    }
+
+    impl crate::observer::VerbObserver for Recorder {
+        fn on_verb(&self, _ev: &crate::observer::VerbEvent) {}
+
+        fn on_free(&self, _server: usize, _offset: u64, _len: usize, _time: SimTime) {}
+
+        fn on_instant(&self, label: &str, _time: SimTime) {
+            self.log.borrow_mut().push((self.tag, label.to_string()));
+            let cluster = self.cluster.upgrade().expect("live");
+            match label {
+                "grow" => cluster.add_observer(Rc::new(Recorder {
+                    tag: self.tag + 10,
+                    cluster: self.cluster.clone(),
+                    log: self.log.clone(),
+                })),
+                "clear" => cluster.clear_observers(),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn observers_may_change_the_list_inside_a_callback() {
+        let sim = Sim::new();
+        let cluster = Cluster::new(&sim, ClusterSpec::default());
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for tag in [1, 2] {
+            cluster.add_observer(Rc::new(Recorder {
+                tag,
+                cluster: cluster.downgrade(),
+                log: log.clone(),
+            }));
+        }
+        // Both registered observers see "grow" (the snapshot taken at
+        // dispatch), each registers a newcomer that sees only later
+        // events; "clear" still reaches the whole snapshot it started
+        // with, then nothing fires.
+        for label in ["grow", "after", "clear", "gone"] {
+            cluster.note_instant(label);
+        }
+        let log = log.borrow();
+        let got: Vec<(u32, &str)> = log.iter().map(|(t, l)| (*t, l.as_str())).collect();
+        assert_eq!(
+            got,
+            [
+                (1, "grow"),
+                (2, "grow"),
+                (1, "after"),
+                (2, "after"),
+                (11, "after"),
+                (12, "after"),
+                (1, "clear"),
+                (2, "clear"),
+                (11, "clear"),
+                (12, "clear"),
+            ]
+        );
+        assert!(!cluster.has_observers());
+    }
+
+    #[test]
+    fn weak_handle_upgrades_only_while_a_strong_one_lives() {
+        let sim = Sim::new();
+        let cluster = Cluster::new(&sim, ClusterSpec::default());
+        let weak = cluster.downgrade();
+        let again = weak.upgrade().expect("alive");
+        assert_eq!(again.num_servers(), cluster.num_servers());
+        drop(again);
+        drop(cluster);
+        assert!(weak.upgrade().is_none());
     }
 
     #[test]

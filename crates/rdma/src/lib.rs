@@ -41,7 +41,7 @@ pub mod ptr;
 pub mod spec;
 
 pub use buf::{BufArena, PageBuf};
-pub use cluster::{Cluster, DurableState, RecoveryRecord, ServerStats};
+pub use cluster::{Cluster, DurableState, RecoveryRecord, ServerStats, WeakCluster};
 pub use endpoint::{Endpoint, RpcReply};
 pub use fault::{AttemptKind, FaultStats, LinkDegrade, VerbError};
 pub use observer::{

@@ -357,3 +357,163 @@ fn detector_does_not_perturb_the_run() {
     };
     assert_eq!(run(false), run(true));
 }
+
+// ---------------------------------------------------------------------
+// Equivalence golden: the detector's verdicts on a fixed workload.
+
+/// Run a fixed-seed mix of range scans and inserts (16 clients, 40 ops
+/// each, 30% inserts into the gaps of a stride-8 dataset, so leaves
+/// split under concurrent scans) on `design` with the detector
+/// installed, and return its counts. Every quantity the detector
+/// derives — classification of each page read, validations, violations
+/// — feeds these five numbers.
+fn mixed_scan_insert_counts(design: &str) -> namdex::racecheck::Counts {
+    const KEYS: u64 = 8_000;
+    const CLIENTS: u64 = 16;
+    const OPS: u64 = 40;
+    let sim = Sim::new();
+    let nam = NamCluster::new(&sim, ClusterSpec::with_memory_servers(4));
+    let data = Dataset::new(KEYS);
+    let domain = data.domain();
+    let layout = PageLayout::new(PAGE);
+    let fg = FgConfig {
+        layout,
+        fill: 0.7,
+        head_stride: 8,
+        cache_capacity: None,
+    };
+    let range = PartitionMap::range_uniform(nam.num_servers(), domain);
+    let index = match design {
+        "cg" => Design::Cg(CoarseGrained::build(&nam, layout, range, data.iter(), 0.7)),
+        "fg" => Design::Fg(FineGrained::build(&nam.rdma, fg, data.iter())),
+        "hybrid" => Design::Hybrid(Hybrid::build(&nam, fg, range, data.iter())),
+        "learned" => Design::Learned(Learned::build(&nam, fg, range, data.iter())),
+        other => panic!("unknown design {other}"),
+    };
+    nam.rdma.set_active_clients(CLIENTS as usize);
+    let race = Racecheck::install(&nam.rdma, PAGE);
+    for c in 0..CLIENTS {
+        let index = index.clone();
+        let ep = Endpoint::new(&nam.rdma);
+        sim.spawn(async move {
+            let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ (c + 1).wrapping_mul(0xD134_2543_DE82_EF95);
+            let mut next = move || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x >> 17
+            };
+            for _ in 0..OPS {
+                let r = next();
+                let key = next() % domain;
+                if r % 10 < 3 {
+                    index.insert(&ep, key | 1, r).await.expect("insert");
+                } else {
+                    index.range(&ep, key, key + 400).await.expect("range");
+                }
+            }
+        });
+    }
+    sim.run();
+    race.assert_clean();
+    race.counts()
+}
+
+/// `(design, reads_checked, racy_reads, dirty_reads, validated,
+/// violations)` of [`mixed_scan_insert_counts`], recorded from the
+/// map-based detector before its hot path was rewritten: a change to
+/// how the detector stores clocks, pages or pending windows must not
+/// move a single count.
+const COUNTS_GOLDEN: [(&str, u64, u64, u64, u64, u64); 4] = [
+    ("cg", 0, 0, 0, 0, 0),
+    ("fg", 7478, 389, 10, 392, 0),
+    ("hybrid", 4913, 48, 7, 51, 0),
+    ("learned", 4916, 388, 9, 390, 0),
+];
+
+#[test]
+fn detector_counts_match_golden() {
+    for (design, reads_checked, racy_reads, dirty_reads, validated, violations) in COUNTS_GOLDEN {
+        let got = mixed_scan_insert_counts(design);
+        let want = namdex::racecheck::Counts {
+            reads_checked,
+            racy_reads,
+            dirty_reads,
+            validated,
+            violations,
+        };
+        assert_eq!(got, want, "{design}: detector counts moved off the golden");
+    }
+}
+
+/// The rendered report of a read race, a lockset breach and a
+/// write-write race on one page, byte for byte (clock rendering
+/// included).
+#[test]
+fn violation_report_text_is_pinned() {
+    let (sim, cluster, ptr) = cluster_with_page();
+    let race = Racecheck::install(&cluster, PAGE);
+    {
+        let cluster = cluster.clone();
+        let a = Endpoint::new(&cluster);
+        let b = Endpoint::new(&cluster);
+        let c = Endpoint::new(&cluster);
+        sim.spawn(async move {
+            cluster.note_op_start(a.client_id(), OpKind::Insert);
+            locked_update(&a, ptr, 7).await;
+            cluster.note_op_end(a.client_id(), OpKind::Insert, true);
+            cluster.note_op_start(c.client_id(), OpKind::Lookup);
+            c.read(ptr, PAGE).await.unwrap();
+            cluster.note_op_end(c.client_id(), OpKind::Lookup, true);
+            let mut page = [2u8; PAGE];
+            page[..8].copy_from_slice(&2u64.to_le_bytes());
+            b.write(ptr, &page).await.unwrap();
+        });
+    }
+    sim.run();
+    let want = "\
+[racecheck:unvalidated-race] client 2 @ server 0 offset 0x8 t=0.000012s: optimistic READ at \
+t=0.000012s of [server 0, 0x8+256] races with unlock FAA by client 0 (epoch 0:3 at \
+t=0.000009s); reader clock at read {} lacks it, and no validating fence \
+(covers/find_child/lock-CAS) was observed on the page before the bytes escaped into a \
+completed lookup result \u{2014} missing HB edge 0:3 \u{2192} client 2
+[racecheck:unlocked-write] client 1 @ server 0 offset 0x8 t=0.000015s: in-place WRITE by \
+client 1 to the lock-protected page [server 0, 0x8+256] outside its critical section (the \
+lock was already released \u{2014} the unlock FAA published the page before these bytes \
+landed): optimistic readers can observe the bytes with no happens-before edge from this write
+[racecheck:write-write-race] client 1 @ server 0 offset 0x8 t=0.000015s: WRITE by client 1 \
+races with unlock FAA by client 0 (epoch 0:3 at t=0.000009s): writer clock {c1:1} lacks it \
+\u{2014} missing HB edge 0:3 \u{2192} client 1
+";
+    assert_eq!(race.report(), want);
+}
+
+// ---------------------------------------------------------------------
+// Ownership: the detector must not keep its cluster alive.
+
+#[test]
+fn installed_detector_does_not_leak_its_cluster() {
+    let (sim, cluster, ptr) = cluster_with_page();
+    let race = Racecheck::install(&cluster, PAGE);
+    {
+        let ep = Endpoint::new(&cluster);
+        sim.spawn(async move {
+            ep.read(ptr, PAGE).await.unwrap();
+        });
+    }
+    sim.run();
+    assert_eq!(race.counts().reads_checked, 1);
+    let weak = cluster.downgrade();
+    assert!(weak.upgrade().is_some());
+    drop(cluster);
+    drop(sim);
+    // The cluster's observer list still owns the detector; only the
+    // detector's handle back to the cluster would keep both alive.
+    assert!(
+        weak.upgrade().is_none(),
+        "the cluster outlived every strong handle: an observer owns it"
+    );
+    // The detector's results stay readable after the cluster is gone.
+    assert_eq!(race.counts().reads_checked, 1);
+    race.assert_clean();
+}
